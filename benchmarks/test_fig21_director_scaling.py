@@ -13,6 +13,7 @@ from repro.hardware import DPU_CPU, CpuCore, NetworkLink
 from repro.net import AppSignature, FiveTuple
 from repro.sim import Environment
 from repro.structures import CuckooCacheTable
+from repro.topology.sharding import ConsistentHashShardMap
 
 CORES = (1, 2, 4, 8)
 MESSAGE_BYTES = 1400
@@ -55,6 +56,7 @@ def measure(cores: int) -> float:
         CuckooCacheTable(64),
         None,  # no offload engine: pure bump-in-the-wire directing
         host_handler,
+        ConsistentHashShardMap(1),
     )
     flows = balanced_flows(cores)
     done = env.event()

@@ -11,13 +11,10 @@ reads are one packet each way).
 
 import pytest
 
+from repro.bench.harness import build_sharded_cluster
 from repro.core.client import ClientConfig, WorkloadClient
 from repro.core.messages import IoRequest, OpCode
-from repro.hardware.nic import NetworkLink
 from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
-from repro.topology.sharding import ShardedOffloadServer
 
 IO_SIZE = 1024
 FILES = 32
@@ -30,16 +27,9 @@ TOTAL_REQUESTS = 12_000
 
 def run_sharded(shard_count, total_requests=TOTAL_REQUESTS):
     env = Environment()
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("bench")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("bench", f"shard-file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    link = NetworkLink(env)
-    server = ShardedOffloadServer(env, link, fs, shard_count=shard_count)
+    server, file_ids = build_sharded_cluster(
+        env, shard_count, FILES, FILE_BYTES
+    )
     config = ClientConfig(
         offered_iops=OFFERED_IOPS,
         total_requests=total_requests,
@@ -120,16 +110,7 @@ class TestScaleoutBehaviour:
 
 def run_sharded_writes():
     env = Environment()
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("bench")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("bench", f"shard-file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    link = NetworkLink(env)
-    server = ShardedOffloadServer(env, link, fs, shard_count=4)
+    server, file_ids = build_sharded_cluster(env, 4, FILES, FILE_BYTES)
     from repro.net.packet import FiveTuple
 
     ok = {}

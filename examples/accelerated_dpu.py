@@ -21,8 +21,8 @@ from repro.extensions import (
     run_compressed_read_experiment,
     run_dpu_cache_experiment,
     run_multitenant_experiment,
-    run_pushdown_experiment,
 )
+from repro.pushdown.scan import run_pushdown_experiment
 
 
 def compression_demo() -> None:

@@ -27,13 +27,10 @@ collapse — and the recovery — are visible bucket by bucket.
 Run:  python examples/overload_demo.py
 """
 
+from repro.bench.harness import build_sharded_cluster
 from repro.core.retry import RetryBudget, RetryPolicy
-from repro.hardware.nic import NetworkLink
 from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
 from repro.topology.qos import QosConfig
-from repro.topology.sharding import ShardedOffloadServer
 from repro.workload import FlashCrowd, OpenLoopTrafficEngine, TenantSpec
 
 IO_SIZE = 64 << 10
@@ -44,21 +41,6 @@ BASE_RATE = 0.8 * CAPACITY
 HORIZON = 30e-3
 CROWD = FlashCrowd(start=8e-3, duration=6e-3, multiplier=5.0)
 BUCKET = 2e-3
-
-
-def build(env):
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("demo")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("demo", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=1
-    )
-    return server, file_ids
 
 
 def tenant_specs():
@@ -77,7 +59,7 @@ def tenant_specs():
 
 def run(defended):
     env = Environment()
-    server, file_ids = build(env)
+    server, file_ids = build_sharded_cluster(env, 1, FILES, FILE_BYTES)
     engine = OpenLoopTrafficEngine(
         env, server, tenant_specs(), file_ids,
         horizon=HORIZON, io_size=IO_SIZE, file_bytes=FILE_BYTES,

@@ -44,9 +44,10 @@ def demonstrate_freshness() -> None:
     done = cluster.server.submit(flow, [request], responses.append)
     cluster.env.run(until=done)
     lsn, page_id = parse_page_header(responses[0].data)
+    director = cluster.server.shards[0].director
     print(
         f"requested page 3 @ LSN>=5 -> served page {page_id} at LSN {lsn} "
-        f"(host path: {cluster.server.director.requests_to_host} request)"
+        f"(host path: {director.requests_to_host} request)"
     )
     print()
 

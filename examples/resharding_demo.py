@@ -13,14 +13,11 @@ and what the elasticity cost in client throughput while it happened.
 Run:  python examples/resharding_demo.py
 """
 
+from repro.bench.harness import build_sharded_cluster
 from repro.core.client import ClientConfig, DdsClient
 from repro.core.messages import IoRequest, OpCode
-from repro.hardware.nic import NetworkLink
 from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
 from repro.topology.resharding import ShardAutoscaler
-from repro.topology.sharding import ShardedOffloadServer
 
 IO_SIZE = 1024
 FILES = 16
@@ -28,21 +25,6 @@ FILE_BYTES = 64 << 10
 SLOTS = FILE_BYTES // IO_SIZE
 BURST_IOPS = 150_000  # moderate crowd: the copy plane keeps headroom
 BURST_REQUESTS = 9_000  # ~60 ms — long enough for two adds to converge
-
-
-def build(env):
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("demo")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("demo", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=2
-    )
-    return server, file_ids
 
 
 def make_workload(file_ids):
@@ -87,7 +69,7 @@ def iops_between(acks, start, end):
 
 def main() -> None:
     env = Environment()
-    server, file_ids = build(env)
+    server, file_ids = build_sharded_cluster(env, 2, FILES, FILE_BYTES)
     server.enable_resilience()
     resharder = server.enable_resharding()
     scaler = ShardAutoscaler(

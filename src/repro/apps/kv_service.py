@@ -25,13 +25,14 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 from ..core.api import OffloadCallbacks, ReadOp, WriteOp
 from ..core.client import ClientConfig, ClientResult, WorkloadClient
 from ..core.messages import IoRequest, IoResponse, OpCode
-from ..core.server import BaselineServer, DdsOffloadServer
+from ..core.server import BaselineServer
 from ..hardware.nic import NetworkLink
 from ..hardware.specs import HOST_APP_NET, MICROSECOND, NVME_1TB
 from ..hardware.ssd import NvmeDevice
 from ..sim import Environment, Event, SeededRng
 from ..storage.disk import RamDisk, SpdkBdev
 from ..storage.filesystem import DdsFileSystem
+from ..topology.sharding import ShardedOffloadServer
 from .faster import RECORD, DdsFileDevice, FasterKv, OsFileDevice
 from .ycsb import YcsbWorkload
 
@@ -197,7 +198,7 @@ def build_kv_cluster(
         loader = _load(kv, workload, fs, kv_file_id, cache_table=None)
     else:
         kv_holder = []
-        server_holder = []
+        table_holder = []
 
         def handler(request: IoRequest) -> Generator:
             if request.op is OpCode.WRITE:
@@ -207,7 +208,7 @@ def build_kv_cluster(
                 # cache-on-write when the tail flushes, §9.2).
                 value = int.from_bytes(request.payload[:8], "little")
                 yield env.process(kv_holder[0].upsert(request.tag, value))
-                server_holder[0].cache_table.delete(request.tag)
+                table_holder[0].delete(request.tag)
                 return IoResponse(request.request_id, True)
             value = yield env.process(kv_holder[0].read(request.tag))
             if value is None:
@@ -217,18 +218,21 @@ def build_kv_cluster(
             )
 
         callbacks = kv_offload_callbacks(kv_file_id)
-        server = DdsOffloadServer(
-            env, link, fs, callbacks=callbacks, host_app=handler
+        server = ShardedOffloadServer(
+            env, link, fs, shard_count=1, callbacks=callbacks,
+            host_app=handler,
         )
-        server_holder.append(server)
-        group = server.library.create_poll()
-        server.library.poll_add(group, kv_file_id)
-        router = _CompletionRouter(env, server.library, group)
-        device = DdsFileDevice(server.library, kv_file_id, router)
+        shard = server.shards[0]
+        table_holder.append(shard.cache_table)
+        library = shard.backend.library
+        group = library.create_poll()
+        library.poll_add(group, kv_file_id)
+        router = _CompletionRouter(env, library, group)
+        device = DdsFileDevice(library, kv_file_id, router)
         kv = FasterKv(env, server.host_pool, memory_budget, device=device)
         kv_holder.append(kv)
         loader = _load(
-            kv, workload, fs, kv_file_id, cache_table=server.cache_table
+            kv, workload, fs, kv_file_id, cache_table=shard.cache_table
         )
     for _ in loader:
         pass
@@ -239,6 +243,16 @@ def build_kv_cluster(
         workload=workload,
         kv_file_id=kv_file_id,
     )
+
+
+def _offloaded_fraction(server) -> float:
+    """Share of directed requests the DPUs served (0 without offload)."""
+    if not isinstance(server, ShardedOffloadServer):
+        return 0.0
+    offloaded = sum(d.requests_offloaded for d in server.directors)
+    to_host = sum(d.requests_to_host for d in server.directors)
+    total = offloaded + to_host
+    return offloaded / total if total else 0.0
 
 
 def _load(kv, workload, fs, kv_file_id, cache_table):
@@ -340,14 +354,6 @@ def run_kv_experiment(
     )
     result: ClientResult = client.run()
     server = cluster.server
-    offloaded = 0.0
-    director = getattr(server, "director", None)
-    if director is not None and (
-        director.requests_offloaded + director.requests_to_host
-    ):
-        offloaded = director.requests_offloaded / (
-            director.requests_offloaded + director.requests_to_host
-        )
     return KvExperimentResult(
         kind=kind,
         offered_ops=offered_ops,
@@ -356,5 +362,5 @@ def run_kv_experiment(
         p99=result.p99,
         host_cores=server.host_cores(result.elapsed),
         dpu_cores=server.dpu_cores(result.elapsed),
-        offloaded_fraction=offloaded,
+        offloaded_fraction=_offloaded_fraction(server),
     )

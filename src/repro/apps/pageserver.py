@@ -26,13 +26,15 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 from ..core.api import OffloadCallbacks, ReadOp, WriteOp
 from ..core.client import ClientConfig, ClientResult, WorkloadClient
 from ..core.messages import IoRequest, IoResponse, OpCode
-from ..core.server import BaselineServer, DdsOffloadServer
+from ..core.server import BaselineServer
 from ..hardware.cpu import CpuCore
 from ..hardware.nic import NetworkLink
 from ..hardware.specs import HOST_APP_NET, MICROSECOND
 from ..sim import Environment, SeededRng
 from ..storage.disk import RamDisk, SpdkBdev
 from ..storage.filesystem import DdsFileSystem
+from ..topology.sharding import ShardedOffloadServer
+from .kv_service import _CompletionRouter, _offloaded_fraction
 
 __all__ = [
     "PAGE_BYTES",
@@ -294,18 +296,19 @@ def build_pageserver_cluster(
             return response
 
         callbacks = pageserver_callbacks(rbpex)
-        server = DdsOffloadServer(
-            env, link, fs, callbacks=callbacks, host_app=handler
+        server = ShardedOffloadServer(
+            env, link, fs, shard_count=1, callbacks=callbacks,
+            host_app=handler,
         )
-        from .kv_service import _CompletionRouter
-
-        group = server.library.create_poll()
-        server.library.poll_add(group, rbpex)
-        router = _CompletionRouter(env, server.library, group)
+        shard = server.shards[0]
+        library = shard.backend.library
+        group = library.create_poll()
+        library.poll_add(group, rbpex)
+        router = _CompletionRouter(env, library, group)
 
         def read_page(offset, size):
             def op():
-                request_id = yield from server.library.read_file(
+                request_id = yield from library.read_file(
                     rbpex, offset, size
                 )
                 response = yield router.wait_for(request_id)
@@ -315,7 +318,7 @@ def build_pageserver_cluster(
 
         def write_page(offset, data):
             def op():
-                request_id = yield from server.library.write_file(
+                request_id = yield from library.write_file(
                     rbpex, offset, data
                 )
                 yield router.wait_for(request_id)
@@ -328,7 +331,7 @@ def build_pageserver_cluster(
         app_holder.append(app)
         # Seed the cache table: every page is clean at LSN 0.
         for page_id in range(pages):
-            server.cache_table.insert(
+            shard.cache_table.insert(
                 ("page", page_id), (0, page_id * PAGE_BYTES)
             )
     app.start_replay(replay_rate)
@@ -414,14 +417,6 @@ def run_pageserver_experiment(
             "dbms-other": server.app_other.cores_consumed(elapsed)
             + app.dispatch_core.utilization(elapsed),
         }
-    offloaded = 0.0
-    director = getattr(server, "director", None)
-    if director is not None and (
-        director.requests_offloaded + director.requests_to_host
-    ):
-        offloaded = director.requests_offloaded / (
-            director.requests_offloaded + director.requests_to_host
-        )
     host_cores = server.host_cores(elapsed)
     if kind == "baseline":
         host_cores += app.dispatch_core.utilization(elapsed)
@@ -433,6 +428,6 @@ def run_pageserver_experiment(
         p99=result.p99,
         host_cores=host_cores,
         dpu_cores=server.dpu_cores(elapsed),
-        offloaded_fraction=offloaded,
+        offloaded_fraction=_offloaded_fraction(server),
         breakdown=breakdown,
     )

@@ -18,7 +18,7 @@ the multi-DPU sharded deployments (``dds-offload-shard2`` / ``-shard4``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from ..core.client import ClientConfig, ClientResult, WorkloadClient
 from ..core.server import StorageServerBase
@@ -27,12 +27,14 @@ from ..sim import Environment
 from ..storage.disk import RamDisk, SpdkBdev
 from ..storage.filesystem import DdsFileSystem
 from ..topology.registry import build_server, headline_solutions, resolve
+from ..topology.sharding import ShardedOffloadServer
 from ..topology.spec import DeploymentSpec
 
 __all__ = [
     "SOLUTIONS",
     "ExperimentResult",
     "build_cluster",
+    "build_sharded_cluster",
     "run_io_experiment",
     "sweep",
     "find_peak",
@@ -103,6 +105,28 @@ def build_cluster(
     link = NetworkLink(env)
     server = build_server(spec, env, link, fs)
     return Cluster(env=env, server=server, filesystem=fs, file_id=file_id)
+
+
+def build_sharded_cluster(
+    env: Environment, shard_count: int, files: int, file_bytes: int
+) -> Tuple[ShardedOffloadServer, List[int]]:
+    """A ``shard_count``-shard offload server over ``files`` preallocated
+    files of ``file_bytes`` each (one RamDisk-backed DDS filesystem).
+
+    Returns ``(server, file_ids)``.
+    """
+    disk = RamDisk(files * file_bytes + (64 << 20))
+    fs = DdsFileSystem(env, SpdkBdev(env, disk))
+    fs.create_directory("bench")
+    file_ids = []
+    for index in range(files):
+        file_id = fs.create_file("bench", f"file-{index}")
+        fs.preallocate(file_id, file_bytes)
+        file_ids.append(file_id)
+    server = ShardedOffloadServer(
+        env, NetworkLink(env), fs, shard_count=shard_count
+    )
+    return server, file_ids
 
 
 def run_io_experiment(

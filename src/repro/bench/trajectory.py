@@ -135,11 +135,8 @@ def _run_scaleout(mode: str) -> dict:
     """Directed reads against a consistent-hash 4-shard deployment."""
     from ..core.client import ClientConfig, WorkloadClient
     from ..core.messages import IoRequest, OpCode
-    from ..hardware.nic import NetworkLink
     from ..sim import Environment
-    from ..storage.disk import RamDisk, SpdkBdev
-    from ..storage.filesystem import DdsFileSystem
-    from ..topology.sharding import ShardedOffloadServer
+    from .harness import build_sharded_cluster
 
     io_size = 1024
     files = 32
@@ -148,16 +145,7 @@ def _run_scaleout(mode: str) -> dict:
 
     wall_start = time.perf_counter()
     env = Environment()
-    disk = RamDisk(files * file_bytes + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("bench")
-    file_ids = []
-    for index in range(files):
-        file_id = fs.create_file("bench", f"shard-file-{index}")
-        fs.preallocate(file_id, file_bytes)
-        file_ids.append(file_id)
-    link = NetworkLink(env)
-    server = ShardedOffloadServer(env, link, fs, shard_count=4)
+    server, file_ids = build_sharded_cluster(env, 4, files, file_bytes)
     config = ClientConfig(
         offered_iops=4e6,
         total_requests=total_requests,
@@ -197,11 +185,8 @@ def _run_chaos(mode: str) -> dict:
     from ..core.client import ClientConfig, DdsClient
     from ..core.messages import IoRequest, OpCode
     from ..faults import FaultInjector, FaultPlan, ShardKill
-    from ..hardware.nic import NetworkLink
     from ..sim import Environment
-    from ..storage.disk import RamDisk, SpdkBdev
-    from ..storage.filesystem import DdsFileSystem
-    from ..topology.sharding import ShardedOffloadServer
+    from .harness import build_sharded_cluster
 
     io_size = 1024
     files = 16
@@ -211,16 +196,7 @@ def _run_chaos(mode: str) -> dict:
 
     wall_start = time.perf_counter()
     env = Environment()
-    disk = RamDisk(files * file_bytes + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("chaos")
-    file_ids = []
-    for index in range(files):
-        file_id = fs.create_file("chaos", f"file-{index}")
-        fs.preallocate(file_id, file_bytes)
-        file_ids.append(file_id)
-    link = NetworkLink(env)
-    server = ShardedOffloadServer(env, link, fs, shard_count=4)
+    server, file_ids = build_sharded_cluster(env, 4, files, file_bytes)
     server.enable_resilience()
     plan = FaultPlan(
         seed=13,
@@ -289,11 +265,8 @@ def _run_replication(mode: str) -> dict:
         ReplicationInvariantChecker,
         ShardKill,
     )
-    from ..hardware.nic import NetworkLink
     from ..sim import Environment
-    from ..storage.disk import RamDisk, SpdkBdev
-    from ..storage.filesystem import DdsFileSystem
-    from ..topology.sharding import ShardedOffloadServer
+    from .harness import build_sharded_cluster
 
     io_size = 1024
     files = 16
@@ -305,20 +278,6 @@ def _run_replication(mode: str) -> dict:
     # 6 ms — past the end of the 2–5 ms outage in both modes, so the
     # availability curve is fully populated.
     failover_requests = 2400
-
-    def build(env):
-        disk = RamDisk(files * file_bytes + (64 << 20))
-        fs = DdsFileSystem(env, SpdkBdev(env, disk))
-        fs.create_directory("bench")
-        file_ids = []
-        for index in range(files):
-            file_id = fs.create_file("bench", f"repl-file-{index}")
-            fs.preallocate(file_id, file_bytes)
-            file_ids.append(file_id)
-        server = ShardedOffloadServer(
-            env, NetworkLink(env), fs, shard_count=4
-        )
-        return server, file_ids
 
     def factory_for(file_ids):
         def factory(request_id, rng):
@@ -346,7 +305,7 @@ def _run_replication(mode: str) -> dict:
     tax_iops = {}
     for variant in ("plain", "replicated"):
         env = Environment()
-        server, file_ids = build(env)
+        server, file_ids = build_sharded_cluster(env, 4, files, file_bytes)
         if variant == "replicated":
             server.enable_replication()
         config = ClientConfig(
@@ -368,7 +327,7 @@ def _run_replication(mode: str) -> dict:
 
     # -- failover availability under a shard kill ----------------------
     env = Environment()
-    server, file_ids = build(env)
+    server, file_ids = build_sharded_cluster(env, 4, files, file_bytes)
     dedup = server.enable_resilience()
     checker = ReplicationInvariantChecker(env)
     replicator = server.enable_replication(checker)
@@ -473,11 +432,8 @@ def _run_resharding(mode: str) -> dict:
     from ..core.client import ClientConfig, DdsClient
     from ..core.messages import IoRequest, OpCode
     from ..faults import ReplicationInvariantChecker
-    from ..hardware.nic import NetworkLink
     from ..sim import Environment
-    from ..storage.disk import RamDisk, SpdkBdev
-    from ..storage.filesystem import DdsFileSystem
-    from ..topology.sharding import ShardedOffloadServer
+    from .harness import build_sharded_cluster
 
     io_size = 1024
     files = 16
@@ -490,20 +446,6 @@ def _run_resharding(mode: str) -> dict:
     total_requests = 6000 if mode == "full" else 3000
     add_at, drain_gap = 1e-3, 3e-4
     window = 5e-4
-
-    def build(env):
-        disk = RamDisk(files * file_bytes + (64 << 20))
-        fs = DdsFileSystem(env, SpdkBdev(env, disk))
-        fs.create_directory("bench")
-        file_ids = []
-        for index in range(files):
-            file_id = fs.create_file("bench", f"reshard-file-{index}")
-            fs.preallocate(file_id, file_bytes)
-            file_ids.append(file_id)
-        server = ShardedOffloadServer(
-            env, NetworkLink(env), fs, shard_count=2
-        )
-        return server, file_ids
 
     def factory_for(file_ids):
         def factory(request_id, rng):
@@ -541,7 +483,7 @@ def _run_resharding(mode: str) -> dict:
 
     # -- control: identical workload, fixed 2-shard topology -----------
     env = Environment()
-    server, file_ids = build(env)
+    server, file_ids = build_sharded_cluster(env, 2, files, file_bytes)
     server.enable_resilience()
     server.enable_replication()
     control_client = DdsClient(
@@ -553,7 +495,7 @@ def _run_resharding(mode: str) -> dict:
 
     # -- live reshard: add a shard mid-workload, then drain it ---------
     env = Environment()
-    server, file_ids = build(env)
+    server, file_ids = build_sharded_cluster(env, 2, files, file_bytes)
     dedup = server.enable_resilience()
     checker = ReplicationInvariantChecker(env)
     server.enable_replication(checker)
@@ -783,13 +725,10 @@ def _run_overload(mode: str) -> dict:
       signature); ON must recover to >= 95%.
     """
     from ..core.retry import RetryBudget, RetryPolicy
-    from ..hardware.nic import NetworkLink
     from ..sim import Environment
-    from ..storage.disk import RamDisk, SpdkBdev
-    from ..storage.filesystem import DdsFileSystem
     from ..topology.qos import QosConfig
-    from ..topology.sharding import ShardedOffloadServer
     from ..workload import FlashCrowd, OpenLoopTrafficEngine, TenantSpec
+    from .harness import build_sharded_cluster
 
     io_size = 64 << 10
     files = 8
@@ -804,20 +743,6 @@ def _run_overload(mode: str) -> dict:
         horizon = 8e-3
         flash_horizon = 22e-3
     crowd_start, crowd_len = 8e-3, 6e-3
-
-    def build(env):
-        disk = RamDisk(files * file_bytes + (64 << 20))
-        fs = DdsFileSystem(env, SpdkBdev(env, disk))
-        fs.create_directory("bench")
-        file_ids = []
-        for index in range(files):
-            file_id = fs.create_file("bench", f"ovl-file-{index}")
-            fs.preallocate(file_id, file_bytes)
-            file_ids.append(file_id)
-        server = ShardedOffloadServer(
-            env, NetworkLink(env), fs, shard_count=1
-        )
-        return server, file_ids
 
     def tenant_specs(total_rate):
         # Two tenant classes: three interactive accounts (20% of the
@@ -836,7 +761,7 @@ def _run_overload(mode: str) -> dict:
 
     def drive(total_rate, defenses, run_horizon, events=()):
         env = Environment()
-        server, file_ids = build(env)
+        server, file_ids = build_sharded_cluster(env, 1, files, file_bytes)
         engine = OpenLoopTrafficEngine(
             env, server, tenant_specs(total_rate), file_ids,
             horizon=run_horizon, io_size=io_size, file_bytes=file_bytes,

@@ -14,7 +14,6 @@ from .traffic_director import TrafficDirector
 _LAZY = {
     "BaselineServer": "server",
     "DdsLibraryServer": "server",
-    "DdsOffloadServer": "server",
     "PipelineServer": "server",
     "StorageServerBase": "server",
     "ClientConfig": "client",
@@ -36,7 +35,6 @@ __all__ = [
     "DdsClient",
     "DdsFileLibrary",
     "DdsLibraryServer",
-    "DdsOffloadServer",
     "DmaRingChannel",
     "DpuFileService",
     "IoRequest",

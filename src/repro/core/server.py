@@ -1,18 +1,22 @@
-"""Assembled storage servers: the baseline and the two DDS deployments.
+"""Assembled host-path storage servers and the pipeline they share.
 
-Three server flavours correspond to the three curves of Figures 14-15:
+Two server flavours here correspond to two of the three curves of
+Figures 14-15:
 
 * :class:`BaselineServer` — today's disaggregated storage: Windows
   sockets TCP + the DBMS network module on the host, OS filesystem I/O.
 * :class:`DdsLibraryServer` — the host application keeps its network
   stack but replaces OS files with the DDS file library; file execution
   happens on the DPU file service.
-* :class:`DdsOffloadServer` — full DDS: the NIC's signature match and the
-  traffic director steer read requests to the offload engine, which
-  serves them without touching the host; writes (and cache-miss reads)
-  fall back to the host library path over the split connection.
 
-All three are :class:`PipelineServer` compositions of the stages in
+The third curve, full DDS offloading, is
+:class:`~repro.topology.sharding.ShardedOffloadServer`: the NIC's
+signature match and the traffic director steer read requests to the
+offload engine, which serves them without touching the host; writes
+(and cache-miss reads) fall back to the host library path over the
+split connection.  A single-DPU deployment is the one-shard case.
+
+All of them are :class:`PipelineServer` compositions of the stages in
 :mod:`repro.topology.stages` — the generic ingress walks the inbound
 stages, fans requests out to the execution stage (or hands the whole
 message to a steering stage), and walks the outbound stages back.  Every
@@ -25,26 +29,19 @@ from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional, Sequence
 
-from ..hardware.cpu import CpuCore, CpuPool
+from ..hardware.cpu import CpuPool
 from ..hardware.nic import NetworkLink
 from ..hardware.specs import (
     BENCH_APP_NET,
-    DPU_CPU,
     HOST_CPU,
     HOST_OS_TCP,
-    RDMA_VERBS,
     StackSpec,
 )
-from ..net.packet import AppSignature, FiveTuple
-from ..net.stack import StackLayer
+from ..net.packet import FiveTuple
 from ..sim import Environment, Event
 from ..storage.filesystem import DdsFileSystem
-from ..structures.cuckoo import CuckooCacheTable
-from ..structures.memory import BufferPool
 from ..topology.stages import (
     DdsBackend,
-    DdsHostSide,
-    DirectorSteering,
     OsFileExecution,
     Stage,
     StageKind,
@@ -52,24 +49,15 @@ from ..topology.stages import (
     WireEgress,
     WireIngress,
 )
-from .api import OffloadCallbacks, passthrough_callbacks
 from .dedup import RequestDedup
 from .messages import IoRequest, IoResponse
-from .offload_engine import OffloadEngine
-from .retry import CircuitBreaker
-from .traffic_director import TrafficDirector
 
 __all__ = [
     "StorageServerBase",
     "PipelineServer",
     "BaselineServer",
     "DdsLibraryServer",
-    "DdsOffloadServer",
 ]
-
-#: Backwards-compatible name for the host-side logic, which moved to
-#: :mod:`repro.topology.stages` when the servers became compositions.
-_DdsHostSide = DdsHostSide
 
 
 class StorageServerBase:
@@ -381,119 +369,3 @@ class DdsLibraryServer(PipelineServer):
         self.transport = transport.layer
         self.app_net = app_net.layer
         backend.start()
-
-
-class DdsOffloadServer(PipelineServer):
-    """Full DDS: traffic director + offload engine on the DPU (§5-§6)."""
-
-    def __init__(
-        self,
-        env: Environment,
-        link: NetworkLink,
-        filesystem: DdsFileSystem,
-        callbacks: Optional[OffloadCallbacks] = None,
-        signature: Optional[AppSignature] = None,
-        cache_items: int = 1 << 20,
-        director_cores: int = 1,
-        context_slots: int = 1024,
-        copy_mode: bool = False,
-        rdma_transport: bool = False,
-        host_app: Optional[Callable] = None,
-    ) -> None:
-        super().__init__(env, link)
-        callbacks = callbacks or passthrough_callbacks()
-        signature = signature or AppSignature(server_port=5000)
-        self.callbacks = callbacks
-        backend = DdsBackend(env, self.host_pool, filesystem, copy_mode)
-        self.director_core_list = [
-            CpuCore(env, speed=DPU_CPU.speed, name=f"dpu-director-{i}")
-            for i in range(director_cores)
-        ]
-        self.cache_table = CuckooCacheTable(cache_items)
-        backend.file_service.set_offload_hooks(callbacks, self.cache_table)
-        # Application override for requests bounced to the host (KV gets,
-        # GetPage@LSN); default is plain file semantics via the library.
-        self.host_app = host_app
-        transport = RDMA_VERBS if rdma_transport else HOST_OS_TCP
-        self.client_spec = RDMA_VERBS if rdma_transport else HOST_OS_TCP
-        self.transport = StackLayer(env, transport, self.host_pool)
-        self.app_net = StackLayer(env, BENCH_APP_NET, self.host_pool)
-        self.engine = OffloadEngine(
-            env,
-            self.director_core_list[0],
-            backend.file_service,
-            callbacks,
-            self.cache_table,
-            BufferPool(256 << 20),
-            context_slots=context_slots,
-            copy_mode=copy_mode,
-        )
-        self.director = TrafficDirector(
-            env,
-            link,
-            self.director_core_list,
-            signature,
-            callbacks,
-            self.cache_table,
-            self.engine,
-            self._host_handler,
-            rdma=rdma_transport,
-        )
-        steering = DirectorSteering(
-            env,
-            self.director_core_list,
-            self.director,
-            self.engine,
-            self.cache_table,
-        )
-        self._set_pipeline(
-            # NIC hardware evaluates the signature at line rate, so the
-            # ingest stage skips the NIC->host PCIe forward; unmatched
-            # flows pay it inside receive_message instead.
-            [
-                WireIngress(env, link, forward_latency=False),
-                backend,
-                steering,
-            ],
-            steering=steering,
-        )
-        self.backend = backend
-        self.dma = backend.dma
-        self.dma_core = backend.dma_core
-        self.spdk_core = backend.spdk_core
-        self.file_service = backend.file_service
-        self.library = backend.library
-        self.host_side = backend.host_side
-        backend.start()
-
-    def enable_resilience(
-        self,
-        dedup_capacity: int = 1 << 16,
-        breaker_threshold: int = 4,
-        breaker_recovery: float = 500e-6,
-    ) -> RequestDedup:
-        """Dedup on the director plus a host-fallback circuit breaker."""
-        dedup = super().enable_resilience(dedup_capacity)
-        self.director.dedup = dedup
-        self.director.breaker = CircuitBreaker(
-            self.env,
-            failure_threshold=breaker_threshold,
-            recovery_time=breaker_recovery,
-        )
-        return dedup
-
-    def _host_handler(
-        self, requests: Sequence[IoRequest], respond: Callable
-    ) -> Generator:
-        """Host fallback over the split connection (writes, bounces)."""
-        message_bytes = sum(r.wire_size for r in requests)
-        yield from self.transport.process(message_bytes)
-        yield from self.app_net.process(message_bytes)
-        handler = self.host_app or self.host_side.serve
-        served = [self.env.process(handler(r)) for r in requests]
-        responses: List[IoResponse] = yield self.env.all_of(served)
-        response_bytes = sum(r.wire_size for r in responses)
-        yield from self.app_net.process(response_bytes)
-        yield from self.transport.process(response_bytes)
-        for response in responses:
-            respond(response)

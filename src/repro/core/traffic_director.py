@@ -76,8 +76,8 @@ class TrafficDirector:
         cache_table: CuckooCacheTable,
         engine: Optional[OffloadEngine],
         host_handler: HostHandler,
+        shard_map: "ConsistentHashShardMap",
         rdma: bool = False,
-        shard_map: Optional["ConsistentHashShardMap"] = None,
         shard_id: int = 0,
     ) -> None:
         if not cores:
@@ -92,7 +92,8 @@ class TrafficDirector:
         self.host_handler = host_handler
         self.rdma = rdma
         self._cost_scale = self.RDMA_COST_SCALE if rdma else 1.0
-        #: Consistent-hash file→shard map (multi-DPU deployments only).
+        #: Consistent-hash file→shard map shared by the deployment's
+        #: directors (a single-DPU deployment holds a one-member map).
         self.shard_map = shard_map
         self.shard_id = shard_id
         #: Optional keyspace→acting-shard override (replicated
@@ -162,16 +163,17 @@ class TrafficDirector:
         self.messages_seen += 1
         message_bytes = sum(r.wire_size for r in requests)
         packets = self.link.packets_for(message_bytes)
-        if self.shard_map is None:
+        if self.shard_map.sole_owner() == self.shard_id:
+            # This shard owns every file (one member, no pins): there is
+            # nothing to look up, so receive + OffPred is the whole charge.
             yield from core.execute(
                 self._cost_scale * self.RX_COST_PER_PACKET * packets
                 + self.OFFPRED_COST * len(requests)
             )
             yield from self._dispatch(core, flow, requests, respond)
             return
-        # Sharded deployment: TLDK receive plus one shard-map lookup per
-        # request; the OffPred charge is paid by whichever shard ends up
-        # executing each batch.
+        # TLDK receive plus one shard-map lookup per request; the OffPred
+        # charge is paid by whichever shard ends up executing each batch.
         yield from core.execute(
             self._cost_scale * self.RX_COST_PER_PACKET * packets
             + self.SHARD_LOOKUP_COST * len(requests)

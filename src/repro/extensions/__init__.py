@@ -1,8 +1,8 @@
 """Future-work extensions the paper sketches in §11, implemented.
 
 Hardware-accelerator models (compression, regex) with real data
-transforms, compressed page serving on the DPU, and string-operator
-pushdown using the regex engine.
+transforms and compressed page serving on the DPU.  String-operator
+pushdown using the regex engine lives in :mod:`repro.pushdown.scan`.
 """
 
 from .accelerators import (
@@ -33,21 +33,6 @@ from .compressed_storage import (
     CompressedReadResult,
     run_compressed_read_experiment,
 )
-# The pushdown names are resolved lazily (PEP 562): repro.pushdown.scan
-# imports .accelerators from this package, so importing .pushdown (now a
-# shim over repro.pushdown.scan) eagerly here would complete the cycle.
-_PUSHDOWN_NAMES = frozenset(
-    {"MODES", "PushdownScanner", "ScanResult", "run_pushdown_experiment"}
-)
-
-
-def __getattr__(name: str) -> object:
-    if name in _PUSHDOWN_NAMES:
-        from . import pushdown
-
-        return getattr(pushdown, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "ARM_SOFTWARE_COMPRESSION",
@@ -65,13 +50,9 @@ __all__ = [
     "CompressedPageStore",
     "CompressedReadResult",
     "HardwareAccelerator",
-    "MODES",
-    "PushdownScanner",
-    "ScanResult",
     "compile_pattern",
     "compress_page",
     "decompress_page",
     "regex_scan",
     "run_compressed_read_experiment",
-    "run_pushdown_experiment",
 ]

@@ -115,14 +115,11 @@ class FaultInjector:
 
     def _engine(self, shard: int) -> OffloadEngine:
         shards = getattr(self.server, "shards", None)
-        if shards is not None:
-            return shards[shard].engine
-        engine = getattr(self.server, "engine", None)
-        if engine is None:
+        if shards is None:
             raise TypeError(
                 f"{type(self.server).__name__} has no offload engine"
             )
-        return engine
+        return shards[shard].engine
 
     # ------------------------------------------------------------------
     # event execution

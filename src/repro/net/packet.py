@@ -48,7 +48,10 @@ class FiveTuple:
         hash is blake2b over the *sorted* endpoint pair — not the
         builtin ``hash``, which is salted per process (PYTHONHASHSEED)
         and would make core and shard placement differ between runs.
+        One bucket needs no hash: every flow lands in it.
         """
+        if buckets == 1:
+            return 0
         endpoints = sorted(
             [
                 f"{self.client_ip}:{self.client_port}",

@@ -3,15 +3,14 @@
 ``stages`` are the reusable datapath pieces (ingest / transport /
 steering / execution / completion); ``spec`` declares what a deployment
 is; ``registry`` maps every solution name to a spec and builds servers
-from them; ``sharding`` is the N-DPU scale-out deployment the layer
-exists to enable.
+from them; ``sharding`` is the offload deployment, one shard per DPU
+(a single DPU is one shard).
 """
 
 from .spec import DeploymentSpec, FilesystemKind, TransportKind
 from .stages import (
     DdsBackend,
     DdsHostSide,
-    DirectorSteering,
     OsFileExecution,
     Stage,
     StageKind,
@@ -48,7 +47,6 @@ __all__ = [
     "DdsBackend",
     "DdsHostSide",
     "DeploymentSpec",
-    "DirectorSteering",
     "FileMove",
     "FilesystemKind",
     "OffloadShard",

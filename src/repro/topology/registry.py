@@ -157,22 +157,11 @@ def build_server(
         )
     rdma = spec.transport is TransportKind.RDMA
     if spec.offload:
-        if spec.sharded:
-            from .sharding import ShardedOffloadServer
+        from .sharding import ShardedOffloadServer
 
-            return ShardedOffloadServer(
-                env, link, filesystem,
-                shard_count=spec.dpu_count,
-                cache_items=spec.cache_items,
-                director_cores=spec.director_cores,
-                context_slots=spec.context_slots,
-                copy_mode=spec.copy_mode,
-                rdma_transport=rdma,
-            )
-        from ..core.server import DdsOffloadServer
-
-        return DdsOffloadServer(
+        return ShardedOffloadServer(
             env, link, filesystem,
+            shard_count=spec.dpu_count,
             cache_items=spec.cache_items,
             director_cores=spec.director_cores,
             context_slots=spec.context_slots,

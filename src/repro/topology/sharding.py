@@ -1,15 +1,17 @@
-"""N-DPU sharded scale-out: consistent-hash steering between directors.
+"""Full DDS offloading on N DPUs: consistent-hash steering between directors.
 
-The ROADMAP's scale-out item: one host, N DPUs, each DPU owning a shard
-of the file namespace.  A :class:`ConsistentHashShardMap` assigns every
-file id to a shard; each traffic director holds the map and relays
-requests for files it does not own to the owning shard's director over
-the DPU↔DPU fabric (charged like the §5.3 bump-in-the-wire forward).
-The owning shard serves the request — offload engine first, its own host
-fallback second — and answers the client directly (direct server
-return).  Per-shard host fallback is preserved: every shard keeps its
-own file library + host-side dispatch, so writes and bounced reads land
-on the host exactly as in the single-DPU deployment.
+:class:`ShardedOffloadServer` is the one offload deployment: one host,
+N DPUs, each DPU owning a shard of the file namespace.  A
+:class:`ConsistentHashShardMap` assigns every file id to a shard; each
+traffic director holds the map and relays requests for files it does
+not own to the owning shard's director over the DPU↔DPU fabric (charged
+like the §5.3 bump-in-the-wire forward).  The owning shard serves the
+request — offload engine first, its own host fallback second — and
+answers the client directly (direct server return).  Every shard keeps
+its own file library + host-side dispatch, so writes and bounced reads
+land on the host.  The paper's single-DPU deployment is the one-shard
+case: its one-member map has nothing to look up, so its director pays
+no lookup cost.
 
 Hashing is deliberately *not* Python's builtin ``hash`` (salted per
 process); splitmix64 keeps shard placement stable across runs.
@@ -150,6 +152,13 @@ class ConsistentHashShardMap:
             return self._members[0]
         index = bisect_right(self._points, _splitmix64(file_id))
         return self._shards[index % len(self._shards)]
+
+    def sole_owner(self) -> Optional[int]:
+        """The shard that owns every file, or None while placement
+        depends on the file (several members, or pins in flight)."""
+        if self.shard_count == 1 and not self._pins:
+            return self._members[0]
+        return None
 
     def ring_owner(self, file_id: int) -> int:
         """The current epoch's ring placement, ignoring pins."""
@@ -416,8 +425,9 @@ class ShardedSteering(Stage):
 
 
 class ShardedOffloadServer(PipelineServer):
-    """Full DDS offloading sharded across N DPUs (one shard map, N
-    directors, N offload engines, N per-shard host fallbacks)."""
+    """Full DDS offloading (§5-§6) across N DPUs: one shard map, N
+    directors, N offload engines, N per-shard host fallbacks.  The
+    single-DPU deployment is ``shard_count=1``."""
 
     def __init__(
         self,

@@ -16,8 +16,9 @@ every server flavour.  This module breaks the wiring into typed, reusable
 * :class:`DdsBackend` — ``execution`` backend: the DPU half of DDS (DMA
   engine, DMA/SPDK cores, file service, host file library, host-side
   completion pump).
-* :class:`DirectorSteering` — ``steering``: the traffic director + offload
-  engine of one DPU, consuming whole client messages.
+* :class:`~repro.topology.sharding.ShardedSteering` — ``steering``: the
+  traffic directors + offload engines of the deployment's DPUs,
+  consuming whole client messages.
 
 Every stage also reports its own resource consumption
 (:meth:`Stage.host_cores` / :meth:`Stage.dpu_cores` /
@@ -34,8 +35,6 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 from ..core.file_library import DdsFileLibrary, PollMode
 from ..core.file_service import DpuFileService
 from ..core.messages import IoRequest, IoResponse, OpCode
-from ..core.offload_engine import OffloadEngine
-from ..core.traffic_director import TrafficDirector
 from ..hardware.cpu import CpuCore, CpuPool
 from ..hardware.nic import NetworkLink
 from ..hardware.pcie import DmaEngine
@@ -45,7 +44,6 @@ from ..net.stack import StackLayer
 from ..sim import Environment, Event
 from ..storage.filesystem import DdsFileSystem, FileSystemError
 from ..storage.osfs import OsFileSystem
-from ..structures.cuckoo import CuckooCacheTable
 
 __all__ = [
     "StageKind",
@@ -56,7 +54,6 @@ __all__ = [
     "OsFileExecution",
     "DdsHostSide",
     "DdsBackend",
-    "DirectorSteering",
     "PushdownExecution",
     "PushdownScanOutcome",
 ]
@@ -485,45 +482,3 @@ class PushdownExecution(Stage):
             acc=tuple(engine.acc),
             selected=selected,
         )
-
-
-class DirectorSteering(Stage):
-    """One DPU's traffic director + offload engine, owning whole messages.
-
-    The steering stage consumes the client message after the NIC hop:
-    the director's signature/OffPred logic dispatches each request to the
-    offload engine or to the host fallback, and responses leave through
-    the director's transmit path — so no egress stages run after it.
-    """
-
-    kind = StageKind.STEERING
-
-    def __init__(
-        self,
-        env: Environment,
-        cores: List[CpuCore],
-        director: TrafficDirector,
-        engine: OffloadEngine,
-        cache_table: CuckooCacheTable,
-        name: str = "director",
-    ) -> None:
-        super().__init__(name)
-        self.env = env
-        self.cores = cores
-        self.director = director
-        self.engine = engine
-        self.cache_table = cache_table
-
-    def dpu_cores(self, elapsed: float) -> float:
-        total = 0.0
-        for core in self.cores:
-            total += core.utilization(elapsed)
-        return total
-
-    def steer(
-        self,
-        flow: FiveTuple,
-        requests: Sequence[IoRequest],
-        respond: Callable,
-    ) -> Generator:
-        yield from self.director.receive_message(flow, requests, respond)

@@ -18,6 +18,7 @@ from repro.net import AppSignature, FiveTuple
 from repro.sim import Environment
 from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
 from repro.structures import BufferPool, CuckooCacheTable
+from repro.topology.sharding import ConsistentHashShardMap
 
 
 def make_engine(context_slots=512, pool=None, callbacks=None):
@@ -190,6 +191,7 @@ class TestTrafficDirector:
             CuckooCacheTable(64),
             eng if engine else None,
             host_handler,
+            ConsistentHashShardMap(1),
             rdma=rdma,
         )
         return env, director, fid, host_served

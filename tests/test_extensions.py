@@ -10,15 +10,14 @@ from repro.extensions import (
     BF2_REGEX,
     CompressedPageStore,
     HardwareAccelerator,
-    PushdownScanner,
     compile_pattern,
     compress_page,
     decompress_page,
     regex_scan,
     run_compressed_read_experiment,
-    run_pushdown_experiment,
 )
 from repro.hardware import CpuCore
+from repro.pushdown.scan import PushdownScanner, run_pushdown_experiment
 from repro.sim import Environment
 
 

@@ -7,14 +7,11 @@ via ``enable_qos`` and check the QoS-off datapath stays untouched.
 
 import pytest
 
+from repro.bench.harness import build_sharded_cluster
 from repro.core.messages import IoRequest, IoResponse, OpCode
-from repro.hardware.nic import NetworkLink
 from repro.net.packet import FiveTuple
 from repro.sim import Environment, SeededRng
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
 from repro.topology.qos import QosConfig, TenantQosGate, TokenBucket
-from repro.topology.sharding import ShardedOffloadServer
 from repro.workload import OpenLoopTrafficEngine, TenantSpec
 
 IO_SIZE = 1024
@@ -227,24 +224,9 @@ class TestGateUnit:
 # ----------------------------------------------------------------------
 # enable_qos on the real sharded datapath
 # ----------------------------------------------------------------------
-def build_server(env, shard_count=2, files=8):
-    disk = RamDisk(files * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("qos")
-    file_ids = []
-    for index in range(files):
-        file_id = fs.create_file("qos", f"f{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=shard_count
-    )
-    return server, file_ids
-
-
 def drive(enable, tenant_rate=None, seed=17):
     env = Environment()
-    server, file_ids = build_server(env)
+    server, file_ids = build_sharded_cluster(env, 2, 8, FILE_BYTES)
     specs = [
         TenantSpec("steady", 0, rate=30_000.0, slo_p99=2e-3),
         TenantSpec("greedy", 1, rate=120_000.0, flooder=True),

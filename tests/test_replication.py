@@ -12,6 +12,7 @@ ingress drop counter, and the checker's negative paths.
 
 import pytest
 
+from repro.bench.harness import build_sharded_cluster
 from repro.core.client import ClientConfig, DdsClient
 from repro.core.messages import IoRequest, IoResponse, OpCode
 from repro.faults import (
@@ -20,13 +21,9 @@ from repro.faults import (
     ReplicationInvariantChecker,
     ShardKill,
 )
-from repro.hardware.nic import NetworkLink
 from repro.net import FiveTuple
 from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
 from repro.topology.replication import CommitRecord, ReplicaGroup
-from repro.topology.sharding import ShardedOffloadServer
 
 pytestmark = pytest.mark.chaos
 
@@ -78,24 +75,9 @@ def make_workload(file_ids):
     return factory
 
 
-def build_sharded(env, shard_count=4, files=FILES):
-    disk = RamDisk(files * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("chaos")
-    file_ids = []
-    for index in range(files):
-        file_id = fs.create_file("chaos", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=shard_count
-    )
-    return server, file_ids
-
-
 def run_replicated_failover(seed=13):
     env = Environment()
-    server, file_ids = build_sharded(env)
+    server, file_ids = build_sharded_cluster(env, 4, FILES, FILE_BYTES)
     dedup = server.enable_resilience()
     checker = ReplicationInvariantChecker(env)
     replicator = server.enable_replication(checker)
@@ -240,7 +222,7 @@ class TestBreakerResetOnRecovery:
         first requests to the host for the *previous* crash's failures.
         """
         env = Environment()
-        server, _file_ids = build_sharded(env, shard_count=2, files=4)
+        server, _file_ids = build_sharded_cluster(env, 2, 4, FILE_BYTES)
         server.enable_resilience()
         breaker = server.shards[0].director.breaker
         for _ in range(4):
@@ -257,7 +239,7 @@ class TestBreakerResetOnRecovery:
     def test_plain_crash_keeps_half_open_probing(self):
         """An EngineCrash without recovery must NOT earn a clean slate."""
         env = Environment()
-        server, _file_ids = build_sharded(env, shard_count=2, files=4)
+        server, _file_ids = build_sharded_cluster(env, 2, 4, FILE_BYTES)
         server.enable_resilience()
         breaker = server.shards[0].director.breaker
         for _ in range(4):
@@ -271,7 +253,7 @@ class TestBreakerResetOnRecovery:
 class TestAllShardsDeadIngress:
     def test_dropped_messages_are_counted(self):
         env = Environment()
-        server, file_ids = build_sharded(env, shard_count=2, files=4)
+        server, file_ids = build_sharded_cluster(env, 2, 4, FILE_BYTES)
         server.kill_shard(0)
         server.kill_shard(1)
         request = IoRequest(OpCode.READ, 1, file_ids[0], 0, IO_SIZE)
@@ -317,7 +299,7 @@ class TestCheckerNegativePaths:
 
     def test_ack_without_commit_flags_ri3(self):
         env = Environment()
-        server, file_ids = build_sharded(env, shard_count=2, files=4)
+        server, file_ids = build_sharded_cluster(env, 2, 4, FILE_BYTES)
         checker = ReplicationInvariantChecker(env)
         server.enable_replication(checker)
         request = IoRequest(

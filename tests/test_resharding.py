@@ -12,15 +12,12 @@ steering counters, and the load-driven autoscaler.
 
 import pytest
 
+from repro.bench.harness import build_sharded_cluster
 from repro.core.client import ClientConfig, DdsClient
 from repro.core.messages import IoRequest, OpCode
 from repro.faults import DurabilityChecker, ReplicationInvariantChecker
-from repro.hardware.nic import NetworkLink
 from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
 from repro.topology.resharding import ShardAutoscaler
-from repro.topology.sharding import ShardedOffloadServer
 
 IO_SIZE = 1024
 FILES = 16
@@ -72,25 +69,10 @@ def make_workload(file_ids):
     return factory
 
 
-def build_sharded(env, shard_count=2, files=FILES):
-    disk = RamDisk(files * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("elastic")
-    file_ids = []
-    for index in range(files):
-        file_id = fs.create_file("elastic", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=shard_count
-    )
-    return server, file_ids
-
-
 def run_elastic(seed=7, replicated=True):
     """Add a third shard mid-workload, then drain it back out."""
     env = Environment()
-    server, file_ids = build_sharded(env, shard_count=2)
+    server, file_ids = build_sharded_cluster(env, 2, FILES, FILE_BYTES)
     dedup = server.enable_resilience()
     if replicated:
         checker = ReplicationInvariantChecker(env)
@@ -277,13 +259,13 @@ class TestLiveReshardPlain:
 class TestDrainGuards:
     def test_drain_refuses_below_the_floor(self):
         env = Environment()
-        server, _ = build_sharded(env, shard_count=1)
+        server, _ = build_sharded_cluster(env, 1, FILES, FILE_BYTES)
         with pytest.raises(RuntimeError, match="cannot drain below"):
             next(server.drain_shard(0))
 
     def test_replicated_floor_is_three(self):
         env = Environment()
-        server, _ = build_sharded(env, shard_count=2)
+        server, _ = build_sharded_cluster(env, 2, FILES, FILE_BYTES)
         server.enable_resilience()
         server.enable_replication()
         with pytest.raises(RuntimeError, match="cannot drain below"):
@@ -291,21 +273,21 @@ class TestDrainGuards:
 
     def test_drain_refuses_a_dead_shard(self):
         env = Environment()
-        server, _ = build_sharded(env, shard_count=3)
+        server, _ = build_sharded_cluster(env, 3, FILES, FILE_BYTES)
         server.shards[1].alive = False
         with pytest.raises(RuntimeError, match="dead shard 1"):
             next(server.drain_shard(1))
 
     def test_drain_refuses_while_a_peer_is_dark(self):
         env = Environment()
-        server, _ = build_sharded(env, shard_count=3)
+        server, _ = build_sharded_cluster(env, 3, FILES, FILE_BYTES)
         server.shards[0].alive = False
         with pytest.raises(RuntimeError, match="with a dead shard"):
             next(server.drain_shard(2))
 
     def test_one_migration_at_a_time(self):
         env = Environment()
-        server, _ = build_sharded(env, shard_count=3)
+        server, _ = build_sharded_cluster(env, 3, FILES, FILE_BYTES)
         resharder = server.enable_resharding()
         resharder.active = True
         with pytest.raises(RuntimeError, match="already in flight"):
@@ -315,7 +297,7 @@ class TestDrainGuards:
 class TestAutoscaler:
     def test_flash_crowd_scales_out_then_back_in(self):
         env = Environment()
-        server, file_ids = build_sharded(env, shard_count=2)
+        server, file_ids = build_sharded_cluster(env, 2, FILES, FILE_BYTES)
         server.enable_resilience()
         scaler = ShardAutoscaler(
             env,
@@ -363,7 +345,7 @@ class TestAutoscaler:
 
     def test_start_twice_raises(self):
         env = Environment()
-        server, _ = build_sharded(env, shard_count=2)
+        server, _ = build_sharded_cluster(env, 2, FILES, FILE_BYTES)
         scaler = ShardAutoscaler(
             env, server, high_water_iops=100e3, low_water_iops=10e3
         )
@@ -374,7 +356,7 @@ class TestAutoscaler:
 
     def test_waters_must_be_ordered(self):
         env = Environment()
-        server, _ = build_sharded(env, shard_count=2)
+        server, _ = build_sharded_cluster(env, 2, FILES, FILE_BYTES)
         with pytest.raises(ValueError, match="low_water_iops"):
             ShardAutoscaler(
                 env, server, high_water_iops=10e3, low_water_iops=10e3

@@ -19,6 +19,7 @@ Both must finish with zero acked-write loss, a clean
 
 import pytest
 
+from repro.bench.harness import build_sharded_cluster
 from repro.core.client import ClientConfig, DdsClient
 from repro.core.messages import IoRequest, OpCode
 from repro.faults import (
@@ -27,14 +28,8 @@ from repro.faults import (
     ReplicationInvariantChecker,
     ShardKill,
 )
-from repro.hardware.nic import NetworkLink
 from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
-from repro.topology.sharding import (
-    ConsistentHashShardMap,
-    ShardedOffloadServer,
-)
+from repro.topology.sharding import ConsistentHashShardMap
 
 pytestmark = pytest.mark.chaos
 
@@ -88,21 +83,6 @@ def make_workload(file_ids):
     return factory
 
 
-def build_sharded(env, shard_count=2, files=FILES):
-    disk = RamDisk(files * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("chaos")
-    file_ids = []
-    for index in range(files):
-        file_id = fs.create_file("chaos", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=shard_count
-    )
-    return server, file_ids
-
-
 def move_sources(file_ids):
     """Pre-add owners of the files a 2→3 grow will relocate.
 
@@ -117,7 +97,7 @@ def move_sources(file_ids):
 
 def run_kill_during_migration(kill, seed=5):
     env = Environment()
-    server, file_ids = build_sharded(env, shard_count=2)
+    server, file_ids = build_sharded_cluster(env, 2, FILES, FILE_BYTES)
     dedup = server.enable_resilience()
     checker = ReplicationInvariantChecker(env)
     server.enable_replication(checker)
@@ -185,7 +165,7 @@ def run_kill_during_migration(kill, seed=5):
 @pytest.fixture(scope="module")
 def source_kill():
     env = Environment()
-    _, file_ids = build_sharded(env, shard_count=2)
+    _, file_ids = build_sharded_cluster(env, 2, FILES, FILE_BYTES)
     return run_kill_during_migration(kill=move_sources(file_ids)[0])
 
 

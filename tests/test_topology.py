@@ -3,8 +3,13 @@
 import pytest
 
 from repro.bench import harness
-from repro.bench.harness import SOLUTIONS, build_cluster
+from repro.bench.harness import (
+    SOLUTIONS,
+    build_cluster,
+    build_sharded_cluster,
+)
 from repro.core.messages import IoRequest, OpCode
+from repro.core.traffic_director import TrafficDirector
 from repro.net.packet import FiveTuple
 from repro.sim import Environment
 from repro.storage.disk import RamDisk, SpdkBdev
@@ -16,6 +21,7 @@ from repro.topology.registry import (
 )
 from repro.topology.sharding import (
     ConsistentHashShardMap,
+    ShardedOffloadServer,
     flow_shard,
     mirror_filesystem,
 )
@@ -38,6 +44,11 @@ class TestRegistry:
         assert len(responses) == 1
         assert responses[0].ok
         assert len(responses[0].data) == 512
+        spec = REGISTRY[name]
+        if spec.offload:
+            # One offload server class; a single DPU is one shard.
+            assert isinstance(cluster.server, ShardedOffloadServer)
+            assert len(cluster.server.shards) == spec.dpu_count
 
     def test_headline_solutions_are_figure16s_ten(self):
         assert SOLUTIONS == headline_solutions()
@@ -200,6 +211,53 @@ class TestShardedSteeringStats:
             expected[flow_shard(flow, 2)] += 1
         assert steering.shard_loads == expected
         assert steering.messages_steered == len(flows)
+
+
+class TestShardLookupCharge:
+    """A one-member shard map has nothing to look up; a grown one does."""
+
+    def test_lookup_is_charged_once_the_map_has_two_members(self):
+        env = Environment()
+        server, file_ids = build_sharded_cluster(env, 1, 4, 64 << 10)
+        # Pick a file shard 0 keeps and a flow shard 0 ingests after the
+        # grow, so both writes take the same path through one director.
+        grown = ConsistentHashShardMap(2)
+        file_id = next(f for f in file_ids if grown.owner(f) == 0)
+        flows = (
+            FiveTuple("10.0.0.2", port, "10.0.0.1", 5000)
+            for port in range(40_000, 40_100)
+        )
+        flow = next(f for f in flows if flow_shard(f, 2) == 0)
+        director = server.shards[0].director
+        core = director.cores[0]
+
+        def director_busy_for_one_write(request_id):
+            before = core.busy_time
+            write = IoRequest(
+                OpCode.WRITE, request_id, file_id, 0, 512, bytes(512)
+            )
+            responses = []
+            done = server.submit(flow, [write], responses.append)
+            env.run(until=done)
+            assert responses[0].ok
+            return core.busy_time - before
+
+        # A write goes to the host: receive + OffPred, the host forward
+        # and the response transmit are the director's whole bill (one
+        # packet each way).
+        unsharded = (
+            TrafficDirector.RX_COST_PER_PACKET
+            + TrafficDirector.OFFPRED_COST
+            + TrafficDirector.FORWARD_COST_PER_PACKET
+            + TrafficDirector.TX_COST_PER_PACKET
+        ) / core.speed
+        assert director_busy_for_one_write(1) == pytest.approx(unsharded)
+        env.run(until=env.process(server.add_shard()))
+        assert server.shard_map.members == (0, 1)
+        assert server.shard_map.pinned_files == 0
+        assert director_busy_for_one_write(2) == pytest.approx(
+            unsharded + TrafficDirector.SHARD_LOOKUP_COST / core.speed
+        )
 
 
 class TestMirrorFilesystem:
