@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 from _tables import emit, kops, us
 
+from repro.bench.harness import build_sharded_cluster
 from repro.core.client import ClientConfig, DdsClient
 from repro.core.messages import IoRequest, OpCode
 from repro.faults import (
@@ -23,11 +24,7 @@ from repro.faults import (
     ReplicationInvariantChecker,
     ShardKill,
 )
-from repro.hardware.nic import NetworkLink
 from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
-from repro.topology.sharding import ShardedOffloadServer
 
 pytestmark = pytest.mark.chaos
 
@@ -91,15 +88,7 @@ def state_digest(server, file_ids):
 
 def run_chaos_bench(seed=13):
     env = Environment()
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("chaos")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("chaos", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(env, NetworkLink(env), fs, shard_count=4)
+    server, file_ids = build_sharded_cluster(env, 4, FILES, FILE_BYTES)
     dedup = server.enable_resilience()
     plan = FaultPlan(
         seed=seed,
@@ -280,15 +269,7 @@ def run_replicated_bench(seed=13):
     chaos runs.
     """
     env = Environment()
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("chaos")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("chaos", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(env, NetworkLink(env), fs, shard_count=4)
+    server, file_ids = build_sharded_cluster(env, 4, FILES, FILE_BYTES)
     dedup = server.enable_resilience()
     checker = ReplicationInvariantChecker(env)
     replicator = server.enable_replication(checker)

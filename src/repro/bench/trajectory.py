@@ -724,6 +724,7 @@ def _run_overload(mode: str) -> dict:
       stays collapsed long after the crowd ends (the metastable
       signature); ON must recover to >= 95%.
     """
+    from ..core.client import percentile
     from ..core.retry import RetryBudget, RetryPolicy
     from ..sim import Environment
     from ..topology.qos import QosConfig
@@ -792,12 +793,7 @@ def _run_overload(mode: str) -> dict:
             )
         out = {}
         for klass, latencies in sorted(merged.items()):
-            latencies.sort()
-            index = min(
-                len(latencies) - 1,
-                max(0, int(round(0.99 * len(latencies))) - 1),
-            )
-            out[klass] = round(latencies[index] * 1e3, 3) if latencies else 0.0
+            out[klass] = round(percentile(sorted(latencies), 99) * 1e3, 3)
         return out
 
     wall_start = time.perf_counter()

@@ -12,7 +12,7 @@ is accounted against a client-side pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Set
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Set
 
 from ..hardware.cpu import CpuPool
 from ..hardware.specs import HOST_CPU
@@ -40,6 +40,15 @@ class ClientConfig:
     seed: int = 42
 
 
+def percentile(ordered: Sequence[float], p: float) -> float:
+    """Nearest-rank ``p``-th percentile (p in [0, 100]) of an
+    already-sorted sequence; 0.0 when it is empty."""
+    if not ordered:
+        return 0.0
+    n = len(ordered)
+    return ordered[min(n - 1, max(0, int(round(p / 100 * n)) - 1))]
+
+
 @dataclass
 class ClientResult:
     """Measured outcome of one client run."""
@@ -60,13 +69,7 @@ class ClientResult:
 
     def percentile(self, p: float) -> float:
         """Latency percentile, p in [0, 100]."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        index = min(
-            len(ordered) - 1, max(0, int(round(p / 100 * len(ordered))) - 1)
-        )
-        return ordered[index]
+        return percentile(sorted(self.latencies), p)
 
     @property
     def p50(self) -> float:

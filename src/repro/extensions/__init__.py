@@ -1,8 +1,10 @@
 """Future-work extensions the paper sketches in §11, implemented.
 
 Hardware-accelerator models (compression, regex) with real data
-transforms and compressed page serving on the DPU.  String-operator
-pushdown using the regex engine lives in :mod:`repro.pushdown.scan`.
+transforms and compressed page serving on the DPU, a DPU-memory read
+cache, and the §10 tenant-isolation experiment (run on the datapath's
+:class:`~repro.topology.qos.TenantQosGate`).  String-operator pushdown
+using the regex engine lives in :mod:`repro.pushdown.scan`.
 """
 
 from .accelerators import (
@@ -22,12 +24,7 @@ from .dpu_cache import (
     DpuReadCache,
     run_dpu_cache_experiment,
 )
-from .multitenancy import (
-    DrrScheduler,
-    FairnessResult,
-    TenantStats,
-    run_multitenant_experiment,
-)
+from .multitenancy import FairnessResult, run_multitenant_experiment
 from .compressed_storage import (
     CompressedPageStore,
     CompressedReadResult,
@@ -38,9 +35,7 @@ __all__ = [
     "ARM_SOFTWARE_COMPRESSION",
     "CachedReadResult",
     "DpuReadCache",
-    "DrrScheduler",
     "FairnessResult",
-    "TenantStats",
     "run_dpu_cache_experiment",
     "run_multitenant_experiment",
     "ARM_SOFTWARE_REGEX",

@@ -2,196 +2,31 @@
 
 Gimbal [52] shows that SmartNIC-attached storage needs fairness
 machinery when tenants share the device; the paper cites it as the way
-to "extend DDS to better support multi-tenancy" (§10).  This extension
-adds a *deficit round-robin* (DRR) scheduler in front of the offload
-engine: each tenant's requests queue separately, and the scheduler
-dispatches in byte-weighted rounds, so an aggressive tenant cannot
-starve a light one of device time.
+to "extend DDS to better support multi-tenancy" (§10).  The mechanism
+is the datapath's own deficit-round-robin (DRR) ingress gate,
+:class:`~repro.topology.qos.TenantQosGate`: each tenant's requests
+queue separately and dispatch in byte-weighted rounds, so an aggressive
+tenant cannot starve a light one of device time.
 
-Implementation is a real DRR (per-tenant FIFOs, quanta, deficits)
-running as a simulation process; the experiment contrasts it with the
-unscheduled FIFO that stock DDS effectively has.
+The experiment here contrasts that gate with the unscheduled FIFO that
+stock DDS effectively has — the same gate with every flow classified
+into one tenant, since DRR over a single queue is FIFO.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Generator, List, Optional
+from dataclasses import dataclass
+from itertools import count
+from typing import Dict, Generator, List
 
-from ..sim import Environment, Event, SeededRng, Store
+from ..core.messages import REQUEST_HEADER, IoRequest, IoResponse, OpCode
+from ..net.packet import FiveTuple
+from ..sim import Environment, Event, SeededRng
 
 __all__ = [
-    "TenantStats",
-    "DrrScheduler",
     "FairnessResult",
     "run_multitenant_experiment",
 ]
-
-
-@dataclass
-class TenantStats:
-    """Per-tenant accounting."""
-
-    submitted: int = 0
-    dispatched: int = 0
-    bytes_dispatched: int = 0
-    latencies: List[float] = field(default_factory=list, repr=False)
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
-    @property
-    def max_latency(self) -> float:
-        return max(self.latencies) if self.latencies else 0.0
-
-
-class DrrScheduler:
-    """Deficit round-robin over per-tenant request queues.
-
-    ``submit(tenant, cost_bytes)`` enqueues one request and returns an
-    event that triggers when the scheduler dispatches it.  ``weights``
-    scale each tenant's quantum (equal shares by default).
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        tenants: List[str],
-        quantum_bytes: int = 8192,
-        weights: Optional[Dict[str, float]] = None,
-        fifo: bool = False,
-    ) -> None:
-        if not tenants:
-            raise ValueError("need at least one tenant")
-        if quantum_bytes < 1:
-            raise ValueError("quantum must be positive")
-        self.env = env
-        self.tenants = list(tenants)
-        self.quantum_bytes = quantum_bytes
-        self.weights = {t: 1.0 for t in tenants}
-        if weights:
-            self.weights.update(weights)
-        self.fifo = fifo
-        self.stats: Dict[str, TenantStats] = {
-            t: TenantStats() for t in tenants
-        }
-        self._queues: Dict[str, Deque] = {t: deque() for t in tenants}
-        self._deficits: Dict[str, float] = {t: 0.0 for t in tenants}
-        self._fifo_queue: Deque = deque()
-        self._wakeup: Store = Store(env)
-
-    # ------------------------------------------------------------------
-    # intake
-    # ------------------------------------------------------------------
-    def submit(self, tenant: str, cost_bytes: int) -> Event:
-        """Enqueue one request; the event fires at dispatch time."""
-        if tenant not in self._queues:
-            raise ValueError(f"unknown tenant: {tenant!r}")
-        if cost_bytes < 1:
-            raise ValueError("cost must be positive")
-        grant = self.env.event()
-        entry = (tenant, cost_bytes, grant, self.env.now)
-        if self.fifo:
-            self._fifo_queue.append(entry)
-        else:
-            self._queues[tenant].append(entry)
-        self.stats[tenant].submitted += 1
-        self._wakeup.try_put(True)
-        return grant
-
-    def add_tenant(self, tenant: str, weight: float = 1.0) -> None:
-        """Admit a new tenant mid-run with a fresh queue and zero
-        deficit (no credit for time before it existed)."""
-        if weight <= 0:
-            raise ValueError("weight must be positive")
-        if tenant in self._queues:
-            raise ValueError(f"tenant already registered: {tenant!r}")
-        self.tenants.append(tenant)
-        self.weights[tenant] = weight
-        self.stats[tenant] = TenantStats()
-        self._queues[tenant] = deque()
-        self._deficits[tenant] = 0.0
-
-    def remove_tenant(self, tenant: str) -> int:
-        """Retire a tenant; returns how many queued requests were
-        dropped (their grant events never fire).  Stats are kept."""
-        if tenant not in self._queues:
-            raise ValueError(f"unknown tenant: {tenant!r}")
-        dropped = len(self._queues.pop(tenant))
-        self.tenants.remove(tenant)
-        self.weights.pop(tenant)
-        self._deficits.pop(tenant)
-        return dropped
-
-    @property
-    def backlog(self) -> int:
-        if self.fifo:
-            return len(self._fifo_queue)
-        return sum(len(q) for q in self._queues.values())
-
-    # ------------------------------------------------------------------
-    # dispatch loop
-    # ------------------------------------------------------------------
-    def run(self, service: Callable[[str, int], Generator]) -> None:
-        """Start the dispatch process; ``service(tenant, bytes)`` is the
-        downstream work each dispatched request performs."""
-        self.env.process(self._loop(service))
-
-    def _loop(self, service) -> Generator:
-        while True:
-            # Wakeup tokens can be stale (one per submit, possibly more
-            # than the work left), so re-check the backlog after waking.
-            while self.backlog == 0:
-                yield self._wakeup.get()
-            if self.fifo:
-                tenant, cost, grant, submitted = self._fifo_queue.popleft()
-                yield from self._dispatch(
-                    tenant, cost, grant, submitted, service
-                )
-                continue
-            # One DRR round over tenants with queued work.  Snapshot
-            # the roster: service generators may add or remove tenants
-            # mid-round (removed ones are skipped via the .get guard,
-            # added ones wait for the next round).
-            for tenant in list(self.tenants):
-                queue = self._queues.get(tenant)
-                if queue is None:
-                    continue
-                if not queue:
-                    self._deficits[tenant] = 0.0  # no banking while idle
-                    continue
-                self._deficits[tenant] += (
-                    self.quantum_bytes * self.weights[tenant]
-                )
-                while (
-                    queue
-                    and tenant in self._queues  # not removed mid-burst
-                    and queue[0][1] <= self._deficits[tenant]
-                ):
-                    _tenant, cost, grant, submitted = queue.popleft()
-                    self._deficits[tenant] -= cost
-                    yield from self._dispatch(
-                        tenant, cost, grant, submitted, service
-                    )
-                if not queue and tenant in self._deficits:
-                    # Forfeit leftover credit the moment the backlog
-                    # empties — not at the next busy round — so an idle
-                    # stretch can never bank a quantum remainder.
-                    self._deficits[tenant] = 0.0
-
-    def _dispatch(
-        self, tenant, cost, grant, submitted, service
-    ) -> Generator:
-        yield from service(tenant, cost)
-        stats = self.stats[tenant]
-        stats.dispatched += 1
-        stats.bytes_dispatched += cost
-        stats.latencies.append(self.env.now - submitted)
-        grant.succeed()
 
 
 @dataclass
@@ -225,43 +60,76 @@ def run_multitenant_experiment(
 
     The heavy tenant dumps a deep burst at t=0; the light tenant issues
     a steady trickle.  ``scheduler`` is ``"fifo"`` (stock: the burst
-    queues ahead of everything) or ``"drr"`` (isolation).
+    queues ahead of everything) or ``"drr"`` (isolation).  Both run on
+    one :class:`~repro.topology.qos.TenantQosGate` serving a request at
+    a time and shedding nothing; each request costs ``request_bytes``
+    on the wire.
     """
     if scheduler not in ("fifo", "drr"):
         raise ValueError(f"unknown scheduler: {scheduler!r}")
+    # Imported here: topology pulls in pushdown, which imports this
+    # package.
+    from ..topology.qos import QosConfig, TenantQosGate
+
     env = Environment()
     rng = SeededRng(seed)
-    drr = DrrScheduler(
-        env, ["light", "heavy"], fifo=(scheduler == "fifo")
+    flows = {
+        "light": FiveTuple("10.0.0.2", 40001, "10.0.0.1", 5000),
+        "heavy": FiveTuple("10.0.0.3", 40002, "10.0.0.1", 5000),
+    }
+    config = QosConfig(
+        queue_capacity=max(1, heavy_burst),
+        max_inflight=1,
+        sojourn_target=None,
     )
+    if scheduler == "fifo":
+        # One tenant for every flow: DRR over a single queue is FIFO.
+        config.tenant_of = lambda _flow: "all"
 
-    def service(_tenant: str, _cost: int) -> Generator:
+    def service(_flow, requests, respond) -> Generator:
         yield env.timeout(service_time)
+        for request in requests:
+            respond(IoResponse(request.request_id, ok=True))
 
-    drr.run(service)
+    gate = TenantQosGate(env, config, service)
+    payload = bytes(request_bytes - REQUEST_HEADER.size)
+    request_ids = count(1)
+    latencies: Dict[str, List[float]] = {"light": [], "heavy": []}
 
-    def heavy() -> Generator:
-        grants = [
-            drr.submit("heavy", request_bytes) for _ in range(heavy_burst)
-        ]
-        yield env.all_of(grants)
+    def submit(tenant: str) -> Event:
+        """Send one request; the event fires when its answer arrives."""
+        done = env.event()
+        submitted = env.now
+
+        def respond(_response: IoResponse) -> None:
+            latencies[tenant].append(env.now - submitted)
+            done.succeed()
+
+        request = IoRequest(
+            OpCode.WRITE, next(request_ids), 0, 0, len(payload), payload
+        )
+        gate.intake(flows[tenant], [request], respond)
+        return done
 
     def light() -> Generator:
         while env.now < duration:
             yield env.timeout(rng.exponential(1 / light_rate))
-            grant = drr.submit("light", request_bytes)
-            yield grant
+            yield submit("light")
 
-    env.process(heavy())
+    for _ in range(heavy_burst):
+        submit("heavy")
     env.process(light())
     env.run(until=duration)
-    light_stats = drr.stats["light"]
-    heavy_stats = drr.stats["heavy"]
+    light_lat, heavy_lat = latencies["light"], latencies["heavy"]
     return FairnessResult(
         scheduler=scheduler,
-        light_mean_latency=light_stats.mean_latency,
-        light_max_latency=light_stats.max_latency,
-        heavy_mean_latency=heavy_stats.mean_latency,
-        light_throughput=light_stats.dispatched / duration,
-        heavy_throughput=heavy_stats.dispatched / duration,
+        light_mean_latency=_mean(light_lat),
+        light_max_latency=max(light_lat, default=0.0),
+        heavy_mean_latency=_mean(heavy_lat),
+        light_throughput=len(light_lat) / duration,
+        heavy_throughput=len(heavy_lat) / duration,
     )
+
+
+def _mean(values: List[float]) -> float:
+    return sum(values) / len(values) if values else 0.0

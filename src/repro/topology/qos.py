@@ -1,8 +1,9 @@
 """Datapath QoS: per-tenant admission, bounded queues, and DRR dispatch.
 
-This is `extensions/multitenancy.py`'s deficit-round-robin scheduler
-graduated into the real sharded datapath (DESIGN §15).  The gate sits
-between wire ingress and shard steering as an opt-in topology stage
+This is the only deficit-round-robin scheduler: both the sharded
+datapath's ingress (DESIGN §15) and the §10 tenant-isolation experiment
+in `extensions/multitenancy.py` run on it.  The gate sits between wire
+ingress and shard steering as an opt-in topology stage
 (:meth:`~repro.topology.sharding.ShardedOffloadServer.enable_qos`), and
 applies four overload defenses in order:
 
@@ -387,10 +388,9 @@ class TenantQosGate(Stage):
         for tenant in list(self._order):
             state = self._states[tenant]
             if not state.queue:
-                # No banking while idle: an empty queue forfeits its
-                # deficit, so a returning tenant cannot burst with
-                # credit saved across idle rounds.
-                state.deficit = 0.0
+                # No banking while idle: whatever empties a queue (a
+                # dispatch or a deadline shed) zeroes its deficit, so a
+                # returning tenant cannot burst with saved credit.
                 continue
             state.deficit += self.config.quantum_bytes * state.weight
             yield from self._drain_tenant(state)
@@ -411,6 +411,8 @@ class TenantQosGate(Stage):
                 # the client has already given up on.
                 state.queue.popleft()
                 self._backlog -= 1
+                if not state.queue:
+                    state.deficit = 0.0
                 for request in requests:
                     self._shed_request(state, request, respond, "deadline")
                 continue

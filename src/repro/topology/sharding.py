@@ -566,6 +566,20 @@ class ShardedOffloadServer(PipelineServer):
         """The deployment's steering stage (ingress counters live here)."""
         return self._steering
 
+    def _wire_features(self, shard: OffloadShard) -> None:
+        """Give one shard every per-shard feature already enabled.
+
+        The ``enable_*`` methods run the same ``_wire_*`` helpers over
+        the shards present; :meth:`add_shard` runs this for the shard it
+        builds, so a shard added later matches one that was there.
+        """
+        if self._breaker_config is not None:
+            self._wire_resilience(shard)
+        if self.replicator is not None:
+            self._wire_replication(shard)
+        if self.pushdown_stages:
+            self._wire_pushdown(shard)
+
     # ------------------------------------------------------------------
     # replication: replica groups, leader routing, quorum acks
     # ------------------------------------------------------------------
@@ -586,8 +600,12 @@ class ShardedOffloadServer(PipelineServer):
         if checker is not None:
             checker.attach(self.replicator)
         for shard in self.shards:
-            shard.director.route = self.replicator.leader_of
+            self._wire_replication(shard)
         return self.replicator
+
+    def _wire_replication(self, shard: OffloadShard) -> None:
+        assert self.replicator is not None
+        shard.director.route = self.replicator.leader_of
 
     # ------------------------------------------------------------------
     # elastic resharding: live shard add/drain (ROADMAP item 2)
@@ -611,12 +629,12 @@ class ShardedOffloadServer(PipelineServer):
         """Grow the deployment by one shard, live, under traffic.
 
         Builds the new DPU's machinery (cloned namespace on its own
-        SSD, backend, engine, director), wires it into the relay fabric
-        and the ingress set, resizes the replication pairing when
-        replication is on, then admits it to the ring and migrates the
-        moved keyspaces' segments — sources keep serving reads and
-        writes until each file's atomic cutover.  Returns the new shard
-        index.
+        SSD, backend, engine, director), gives it every feature already
+        enabled, wires it into the relay fabric and the ingress set,
+        resizes the replication pairing when replication is on, then
+        admits it to the ring and migrates the moved keyspaces'
+        segments — sources keep serving reads and writes until each
+        file's atomic cutover.  Returns the new shard index.
         """
         resharder = self.enable_resharding()
         index = len(self.shards)
@@ -634,21 +652,7 @@ class ShardedOffloadServer(PipelineServer):
             self.directors.append(shard.director)
             self._stages.append(shard.backend)
         shard.backend.start()
-        if self.dedup is not None:
-            shard.director.dedup = self.dedup
-            threshold, recovery, saturation = self._breaker_config or (
-                4,
-                500e-6,
-                None,
-            )
-            shard.director.breaker = CircuitBreaker(
-                self.env,
-                failure_threshold=threshold,
-                recovery_time=recovery,
-                saturation_threshold=saturation,
-            )
-        if self.replicator is not None:
-            shard.director.route = self.replicator.leader_of
+        self._wire_features(shard)
         self._steering.on_shard_added(shard)
         if self.replicator is not None:
             # The clone is a byte-copy of shard 0's disk taken with no
@@ -709,22 +713,24 @@ class ShardedOffloadServer(PipelineServer):
 
         Each shard gets its own Arm core + RXP accelerator over its own
         filesystem, appended to the stage list so the cores-consumed
-        roll-up sees them.  Idempotent per shard (a shard added after
-        enabling gets its stage on the next call).
+        roll-up sees them.  Idempotent per shard.
         """
         for shard in self.live_shards:
-            if shard.index in self.pushdown_stages:
-                continue
-            stage = PushdownExecution(
-                self.env,
-                self.filesystems[shard.index],
-                self.link,
-                shard=shard.index,
-            )
-            with self._topology_lock:
-                self.pushdown_stages[shard.index] = stage
-                self._stages.append(stage)
+            self._wire_pushdown(shard)
         return self.pushdown_stages
+
+    def _wire_pushdown(self, shard: OffloadShard) -> None:
+        if shard.index in self.pushdown_stages:
+            return
+        stage = PushdownExecution(
+            self.env,
+            self.filesystems[shard.index],
+            self.link,
+            shard=shard.index,
+        )
+        with self._topology_lock:
+            self.pushdown_stages[shard.index] = stage
+            self._stages.append(stage)
 
     def pushdown_scan(
         self,
@@ -885,14 +891,19 @@ class ShardedOffloadServer(PipelineServer):
             breaker_saturation,
         )
         for shard in self.shards:
-            shard.director.dedup = dedup
-            shard.director.breaker = CircuitBreaker(
-                self.env,
-                failure_threshold=breaker_threshold,
-                recovery_time=breaker_recovery,
-                saturation_threshold=breaker_saturation,
-            )
+            self._wire_resilience(shard)
         return dedup
+
+    def _wire_resilience(self, shard: OffloadShard) -> None:
+        assert self._breaker_config is not None
+        threshold, recovery, saturation = self._breaker_config
+        shard.director.dedup = self.dedup
+        shard.director.breaker = CircuitBreaker(
+            self.env,
+            failure_threshold=threshold,
+            recovery_time=recovery,
+            saturation_threshold=saturation,
+        )
 
     def kill_shard(self, index: int) -> int:
         """Crash one shard's DPU mid-flight.

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.bench.harness import build_sharded_cluster
 from repro.core.client import ClientConfig, DdsClient
 from repro.core.messages import IoRequest, OpCode
 from repro.faults import (
@@ -81,16 +82,7 @@ def state_digest(server, file_ids):
 def run_shard_kill(seed=7):
     """Kill shard 1 of 4 mid-workload; recover it 4 ms later."""
     env = Environment()
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("chaos")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("chaos", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    link = NetworkLink(env)
-    server = ShardedOffloadServer(env, link, fs, shard_count=4)
+    server, file_ids = build_sharded_cluster(env, 4, FILES, FILE_BYTES)
     dedup = server.enable_resilience()
     plan = FaultPlan(
         seed=seed,

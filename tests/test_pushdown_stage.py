@@ -199,3 +199,29 @@ def test_pushdown_stage_appears_in_stage_rollup():
     stage = server.pushdown_stages[outcome.shard]
     assert stage.dpu_cores(env.now) >= 0.0
     assert stage.scans == 1
+
+
+def test_shard_added_after_enable_gets_every_feature():
+    """``add_shard`` wires a new shard through the same per-shard code
+    as the ``enable_*`` methods: a pushdown stage, the shared dedup
+    table, and a breaker with the configured thresholds."""
+    env = Environment()
+    fs, file_ids, expected = _build_table(env, files=8)
+    server = ShardedOffloadServer(env, NetworkLink(env), fs, shard_count=2)
+    dedup = server.enable_resilience(breaker_threshold=7)
+    server.enable_pushdown()
+    proc = env.process(server.add_shard())
+    env.run(until=proc)
+    new = proc.value
+    director = server.shards[new].director
+    assert director.dedup is dedup
+    assert director.breaker.failure_threshold == 7
+    moved = [f for f in file_ids if server.shard_map.owner(f) == new]
+    assert moved  # the ring handed the new shard some files
+    verdict, outcome = _scan(
+        env, server, moved[0], canonical_pipeline("filter-project-agg")
+    )
+    assert verdict.ok and outcome.offloaded
+    assert outcome.shard == new
+    assert outcome.rows == expected[moved[0]][0]
+    assert server.pushdown_stages[new].scans == 1
